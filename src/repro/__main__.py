@@ -760,12 +760,12 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     if hasattr(args, "workload"):
-        from repro.mesh import WORKLOADS
+        from repro.mesh import WORKLOAD_REGISTRY
 
-        if args.workload not in WORKLOADS:
+        if args.workload not in WORKLOAD_REGISTRY:
             parser.error(
                 f"unknown workload {args.workload!r}; known: "
-                f"{', '.join(sorted(WORKLOADS))} (see --list)"
+                f"{', '.join(sorted(WORKLOAD_REGISTRY))} (see --list)"
             )
     try:
         return args.func(args)

@@ -33,6 +33,7 @@ from repro.amg.strength import aggressive_strength, strength_matrix
 from repro.comm.simcomm import SimWorld
 from repro.linalg.parcsr import ParCSRMatrix
 from repro.obs.telemetry import AMGSetupStats
+from repro.serialize import Serializable
 from repro.linalg.spgemm import galerkin_product, galerkin_refresh, spgemm
 from repro.smoothers.factory import make_smoother
 
@@ -65,7 +66,7 @@ SMOOTHERS = ("two_stage_gs", "jacobi", "l1_jacobi", "chebyshev")
 
 
 @dataclass
-class AMGOptions:
+class AMGOptions(Serializable):
     """BoomerAMG-style setup and cycle options.
 
     Defaults follow the paper's pressure-Poisson configuration: aggressive
@@ -88,50 +89,6 @@ class AMGOptions:
     # precondition CG; GMRES does not need it.
     smoother_symmetric: bool = False
     seed: int = 42
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict of every option (strict round-trip form)."""
-        return {
-            "theta": self.theta,
-            "interp": self.interp,
-            "agg_levels": self.agg_levels,
-            "trunc_max_elements": self.trunc_max_elements,
-            "trunc_tol": self.trunc_tol,
-            "max_levels": self.max_levels,
-            "coarse_size": self.coarse_size,
-            "smoother": self.smoother,
-            "smoother_inner": self.smoother_inner,
-            "smoother_outer": self.smoother_outer,
-            "smoother_symmetric": self.smoother_symmetric,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AMGOptions":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-        from repro.serialize import as_bool, as_float, as_int, as_str
-        from repro.serialize import strict_kwargs
-
-        return cls(
-            **strict_kwargs(
-                "AMGOptions",
-                data,
-                {
-                    "theta": as_float,
-                    "interp": as_str,
-                    "agg_levels": as_int,
-                    "trunc_max_elements": as_int,
-                    "trunc_tol": as_float,
-                    "max_levels": as_int,
-                    "coarse_size": as_int,
-                    "smoother": as_str,
-                    "smoother_inner": as_int,
-                    "smoother_outer": as_int,
-                    "smoother_symmetric": as_bool,
-                    "seed": as_int,
-                },
-            )
-        )
 
 
 @dataclass

@@ -38,9 +38,8 @@ RL003   unseeded RNG: ``default_rng()`` with no seed — every stochastic
 RL004   direct smoother construction: naming a smoother class instead of
         :func:`repro.smoothers.make_smoother`.  The factory is the only
         supported entry point — the ``make_sgs2`` helper and the
-        deprecated result aliases were removed — so this rule statically
-        promotes the remaining runtime ``DeprecationWarning`` on direct
-        class construction.
+        deprecated result aliases were removed — and this rule is its
+        only enforcement (constructors emit no runtime warning).
 RL005   unaccounted kernel: a function in the device-kernel packages
         performs bulk data motion (sort / scatter / segmented reduce /
         dense matmul via ``@``) with no recording call reachable in its
@@ -697,12 +696,10 @@ def lint_paths(paths: list[str]) -> AnalysisReport:
 
 # -- baseline ----------------------------------------------------------------
 
+#: Keys carry the enclosing qualname and an occurrence index, so identical
+#: line text at two sites in one file never collides onto one key (which
+#: would silently mask the second finding).
 BASELINE_SCHEMA = "repro.analysis-baseline/2"
-#: Accepted for reading (one-shot migration): /1 keyed findings by
-#: (rule, path, line-text) only, so identical line text at two sites in
-#: one file collided onto one key and the second finding was silently
-#: masked.  /2 keys add the enclosing qualname and an occurrence index.
-LEGACY_BASELINE_SCHEMA = "repro.analysis-baseline/1"
 
 
 def _baseline_keys(
@@ -752,32 +749,26 @@ def _source_lines(paths: set[str]) -> dict[str, list[str]]:
 def load_baseline(path: str) -> set[tuple]:
     """Load a baseline file into the set of grandfathered finding keys.
 
-    ``/2`` entries load as 5-tuples, legacy ``/1`` entries as 3-tuples
-    (matched with their historical any-occurrence semantics); any other
-    schema is an error.
+    Entries load as 5-tuples; any schema other than
+    :data:`BASELINE_SCHEMA` (including the retired ``/1``) is an error.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     schema = doc.get("schema")
-    if schema == BASELINE_SCHEMA:
-        return {
-            (
-                e["rule"],
-                e["path"],
-                e.get("qualname", ""),
-                e.get("line_text", ""),
-                int(e.get("occurrence", 0)),
-            )
-            for e in doc.get("findings", [])
-        }
-    if schema == LEGACY_BASELINE_SCHEMA:
-        return {
-            (e["rule"], e["path"], e.get("line_text", ""))
-            for e in doc.get("findings", [])
-        }
-    raise ValueError(
-        f"{path}: schema {schema!r} != {BASELINE_SCHEMA!r}"
-    )
+    if schema != BASELINE_SCHEMA:
+        raise ValueError(
+            f"{path}: schema {schema!r} != {BASELINE_SCHEMA!r}"
+        )
+    return {
+        (
+            e["rule"],
+            e["path"],
+            e.get("qualname", ""),
+            e.get("line_text", ""),
+            int(e.get("occurrence", 0)),
+        )
+        for e in doc.get("findings", [])
+    }
 
 
 def write_baseline(path: str, report: AnalysisReport) -> None:
@@ -808,8 +799,7 @@ def apply_baseline(report: AnalysisReport, baseline: set[tuple]) -> None:
     keys = _baseline_keys(report.findings, lines)
     live: list[Finding] = []
     for f, key in zip(report.findings, keys):
-        legacy_key = (key[0], key[1], key[3])
-        if key in baseline or legacy_key in baseline:
+        if key in baseline:
             report.baselined.append(f)
         else:
             live.append(f)

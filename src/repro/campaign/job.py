@@ -27,13 +27,8 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import SimulationConfig
-from repro.mesh.turbine import WORKLOADS
-from repro.serialize import (
-    as_int,
-    as_str,
-    stable_digest,
-    strict_kwargs,
-)
+from repro.mesh.turbine import WORKLOAD_REGISTRY
+from repro.serialize import Serializable, as_int, as_str, stable_digest
 
 #: Format tag of the canonical per-job result document.
 RESULT_FORMAT = "repro.campaign.result/1"
@@ -73,7 +68,7 @@ def set_path(overrides: dict, path: str, value: Any) -> dict:
 
 
 @dataclass
-class JobSpec:
+class JobSpec(Serializable):
     """One campaign job: workload + step count + seed + config overrides.
 
     Attributes:
@@ -94,10 +89,10 @@ class JobSpec:
 
     def validate(self) -> None:
         """Raise on unknown workloads / invalid step counts / bad overrides."""
-        if self.workload not in WORKLOADS:
+        if self.workload not in WORKLOAD_REGISTRY:
             raise ValueError(
                 f"unknown workload {self.workload!r}; "
-                f"known: {sorted(WORKLOADS)}"
+                f"known: {sorted(WORKLOAD_REGISTRY)}"
             )
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
@@ -136,39 +131,6 @@ class JobSpec:
         """Short stable identifier (digest prefix) used in paths/tables."""
         return self.digest()[:12]
 
-    def to_dict(self) -> dict:
-        """JSON-shaped round-trip form."""
-        return {
-            "workload": self.workload,
-            "steps": self.steps,
-            "seed": self.seed,
-            "overrides": self.overrides,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-
-        def as_overrides(value: Any, path: str) -> dict:
-            if not isinstance(value, dict):
-                raise ValueError(f"{path}: expected mapping")
-            return value
-
-        spec = cls(
-            **strict_kwargs(
-                "JobSpec",
-                data,
-                {
-                    "workload": as_str,
-                    "steps": as_int,
-                    "seed": as_int,
-                    "overrides": as_overrides,
-                },
-            )
-        )
-        spec.validate()
-        return spec
-
 
 @dataclass
 class CampaignSpec:
@@ -193,9 +155,6 @@ class CampaignSpec:
     #: mid-job resume of interrupted campaigns.
     checkpoint_every: int = 0
     checkpoint_keep: int = 2
-    #: Cross-job AssemblyPlan sharing (see ``repro.assembly.plan
-    #: .PlanCache``); off forces every job to cold-capture its plans.
-    share_setup: bool = True
 
     def expand(self) -> list[JobSpec]:
         """The sweep's jobs, in deterministic order, all validated."""
@@ -249,7 +208,6 @@ class CampaignSpec:
             },
             "checkpoint_every": self.checkpoint_every,
             "checkpoint_keep": self.checkpoint_keep,
-            "share_setup": self.share_setup,
         }
 
     @classmethod
@@ -267,7 +225,6 @@ class CampaignSpec:
             "sweep",
             "checkpoint_every",
             "checkpoint_keep",
-            "share_setup",
         }
         unknown = sorted(set(data) - allowed)
         if unknown:
@@ -329,7 +286,6 @@ class CampaignSpec:
             checkpoint_keep=as_int(
                 data.get("checkpoint_keep", 2), "campaign.checkpoint_keep"
             ),
-            share_setup=bool(data.get("share_setup", True)),
         )
         if spec.checkpoint_every < 0:
             raise ValueError("campaign spec: checkpoint_every must be >= 0")

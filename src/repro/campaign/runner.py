@@ -160,7 +160,6 @@ class Campaign:
                 self._ckpt_dir(job) if self.spec.checkpoint_every else ""
             ),
             "try_resume": try_resume,
-            "share_setup": self.spec.share_setup,
         }
 
     def _emit(self, event: str, **kw: Any) -> None:
@@ -382,8 +381,7 @@ class Campaign:
         payload = self._payload(job, try_resume=was_running)
         if pool is None:
             # In-process serial mode: share one plan cache directly.
-            if self.spec.share_setup:
-                _sup._PLAN_CACHE = self._plan_cache
+            _sup._PLAN_CACHE = self._plan_cache
             outcome = _execute_job(payload)
         else:
             outcome = await loop.run_in_executor(

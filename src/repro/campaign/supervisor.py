@@ -324,8 +324,7 @@ def execute_job_payload(
             config.restart_from = ""
             resumed = False
             sim = NaluWindSimulation(job.workload, config)
-        if payload.get("share_setup", True):
-            sim.world.plan_cache = _worker_plan_cache()
+        sim.world.plan_cache = _worker_plan_cache()
         if on_sim is not None:
             on_sim(sim)
         report = sim.run(job.steps)

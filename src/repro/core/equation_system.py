@@ -59,9 +59,7 @@ PHASES = (
 class SolveRecord:
     """Iteration/convergence record of one linear solve.
 
-    ``residual_history`` holds per-iteration relative residual norms when
-    the equation's :class:`~repro.core.config.SolverConfig` has
-    ``record_history`` on (the default); empty otherwise.
+    ``residual_history`` holds the per-iteration relative residual norms.
     """
 
     iterations: int
@@ -143,13 +141,13 @@ class EquationSystem:
         return vals_app[self.comp.numbering.new_to_old]
 
     def _active_plan(self) -> AssemblyPlan | None:
-        """The assembly plan for the current graph (reuse enabled only).
+        """The assembly plan for the current graph.
 
         A plan is keyed to one :class:`EquationGraph` revision; mesh
         motion rebuilds the graph, bumps the revision, and the stale plan
         is replaced by a fresh (uncaptured) one here.
         """
-        if not self.config.reuse_assembly_plan or self.graph is None:
+        if self.graph is None:
             return None
         plan = self._plan
         if plan is None or plan.graph_revision != self.graph.revision:

@@ -217,7 +217,7 @@ class PressurePoissonSystem(EquationSystem):
         stale reuse otherwise.
         """
         h = self._hierarchy
-        if not self.config.amg_refresh or h is None:
+        if h is None:
             return False
         lvl0 = h.levels[0].A
         if A.shape != lvl0.shape or A.nnz != lvl0.nnz:

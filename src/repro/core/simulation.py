@@ -540,8 +540,8 @@ class NaluWindSimulation:
             comp,
             self.velocity,
             cfg.density,
-            pressure=self.pressure_field if cfg.rhie_chow else None,
-            tau=tau_edge if cfg.rhie_chow else 0.0,
+            pressure=self.pressure_field,
+            tau=tau_edge,
         )
         A_m, rhs_u = self.momentum.assemble(
             mdot=mdot,
@@ -575,8 +575,8 @@ class NaluWindSimulation:
             comp,
             u_star,
             cfg.density,
-            pressure=self.pressure_field if cfg.rhie_chow else None,
-            tau=tau_edge if cfg.rhie_chow else 0.0,
+            pressure=self.pressure_field,
+            tau=tau_edge,
         )
         # Overset constraint for the correction: enforce continuity of the
         # *total* pressure across mesh boundaries, p_rec + p'_rec =

@@ -114,8 +114,8 @@ def make_krylov_solver(
             attributes (all optional): ``method`` ("gmres" | "cg" |
             "pipelined_cg"), ``tol``, ``max_iters``, ``overlap``
             (split halo exchange in solver SpMVs), ``restart``,
-            ``gs_variant``, ``record_history``.  Missing attributes
-            fall back to the method's defaults.
+            ``gs_variant``.  Missing attributes fall back to the
+            method's defaults.
 
     Returns:
         A :class:`KrylovSolver` whose ``solve`` returns
@@ -124,7 +124,6 @@ def make_krylov_solver(
     method = getattr(cfg, "method", "gmres")
     tol = getattr(cfg, "tol", 1e-6)
     max_iters = getattr(cfg, "max_iters", 200)
-    record_history = getattr(cfg, "record_history", True)
     overlap = getattr(cfg, "overlap", False)
     if method == "gmres":
         from repro.krylov.gmres import GMRES
@@ -136,7 +135,6 @@ def make_krylov_solver(
             max_iters=max_iters,
             restart=getattr(cfg, "restart", 50),
             gs_variant=getattr(cfg, "gs_variant", "one_reduce"),
-            record_history=record_history,
             overlap=overlap,
         )
     if method == "cg":
@@ -147,7 +145,6 @@ def make_krylov_solver(
             preconditioner=precond,
             tol=tol,
             max_iters=max_iters,
-            record_history=record_history,
             overlap=overlap,
         )
     if method == "pipelined_cg":
@@ -158,7 +155,6 @@ def make_krylov_solver(
             preconditioner=precond,
             tol=tol,
             max_iters=max_iters,
-            record_history=record_history,
             overlap=overlap,
         )
     raise ValueError(

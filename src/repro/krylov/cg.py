@@ -28,8 +28,6 @@ class CG:
         preconditioner: SPD preconditioner action (None = identity).
         tol: relative residual tolerance.
         max_iters: iteration cap.
-        record_history: keep per-iteration relative residual norms in
-            ``KrylovResult.residual_history`` (off leaves it empty).
         overlap: run the SpMV halo exchanges split (``matvec(overlap=
             True)``): the diag block is applied while boundary data is
             in flight.  Bitwise-identical results, shorter halo waits.
@@ -41,14 +39,12 @@ class CG:
         preconditioner: Preconditioner | None = None,
         tol: float = 1e-6,
         max_iters: int = 500,
-        record_history: bool = True,
         overlap: bool = False,
     ) -> None:
         self.A = A
         self.M = preconditioner
         self.tol = tol
         self.max_iters = max_iters
-        self.record_history = record_history
         self.overlap = overlap
 
     def _precond(self, r: ParVector) -> ParVector:
@@ -69,7 +65,7 @@ class CG:
                 iterations=0,
                 residual_norm=0.0,
                 converged=True,
-                residual_history=[0.0] if self.record_history else [],
+                residual_history=[0.0],
                 method="cg",
             )
         target = self.tol * bnorm
@@ -79,7 +75,7 @@ class CG:
         p = z.copy()
         rz, rr = fused_dots(r.world, [(r, z), (r, r)])
         rnorm = float(np.sqrt(max(rr, 0.0)))
-        history = [rnorm / bnorm] if self.record_history else []
+        history = [rnorm / bnorm]
         it = 0
         while rnorm > target and it < self.max_iters:
             Ap = A.matvec(p, overlap=self.overlap)
@@ -100,8 +96,7 @@ class CG:
             p = z.copy().axpy(beta, p)
             rz = rz_new
             rnorm = float(np.sqrt(max(rr, 0.0)))
-            if self.record_history:
-                history.append(rnorm / bnorm)
+            history.append(rnorm / bnorm)
             it += 1
         return KrylovResult(
             x=x,

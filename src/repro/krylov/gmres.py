@@ -27,10 +27,6 @@ class GMRES:
         max_iters: total iteration cap.
         restart: Arnoldi basis size before restart.
         gs_variant: ``"mgs"``, ``"cgs2"`` or ``"one_reduce"``.
-        record_history: keep per-iteration relative residual norms in
-            ``KrylovResult.residual_history``.  Off leaves the history
-            empty and skips the per-iteration appends (hot-path cost is
-            then limited to the convergence test itself).
         overlap: run the SpMV halo exchanges split (``matvec(overlap=
             True)``): the diag block is applied while boundary data is
             in flight.  Bitwise-identical results, shorter halo waits.
@@ -44,7 +40,6 @@ class GMRES:
         max_iters: int = 200,
         restart: int = 50,
         gs_variant: str = "one_reduce",
-        record_history: bool = True,
         overlap: bool = False,
     ) -> None:
         self.A = A
@@ -53,7 +48,6 @@ class GMRES:
         self.max_iters = max_iters
         self.restart = restart
         self.gs_variant = gs_variant
-        self.record_history = record_history
         self.overlap = overlap
 
     def _precond(self, v: ParVector) -> ParVector:
@@ -88,7 +82,7 @@ class GMRES:
                 iterations=0,
                 residual_norm=0.0,
                 converged=True,
-                residual_history=[0.0] if self.record_history else [],
+                residual_history=[0.0],
                 method="gmres",
             )
         target = self.tol * bnorm
@@ -98,8 +92,7 @@ class GMRES:
         while True:
             r = A.residual(b, x, overlap=self.overlap)
             beta = r.norm()
-            if self.record_history:
-                history.append(beta / bnorm)
+            history.append(beta / bnorm)
             # A non-finite residual cannot improve from here (every inner
             # product downstream is poisoned); return it for the guards
             # to classify instead of spinning NaN arithmetic to max_iters.
@@ -170,8 +163,7 @@ class GMRES:
                 g[j] = cs[j] * g[j]
                 total_iters += 1
                 k = j + 1
-                if self.record_history:
-                    history.append(abs(g[j + 1]) / bnorm)
+                history.append(abs(g[j + 1]) / bnorm)
                 if abs(g[j + 1]) <= target:
                     break
                 if hj1 <= 1e-300:
@@ -205,8 +197,7 @@ class GMRES:
             if breakdown or total_iters >= self.max_iters:
                 r = A.residual(b, x)
                 beta = r.norm()
-                if self.record_history:
-                    history.append(beta / bnorm)
+                history.append(beta / bnorm)
                 return KrylovResult(
                     x=x,
                     iterations=total_iters,

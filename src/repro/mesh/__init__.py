@@ -19,7 +19,7 @@ from repro.mesh.turbine import (
     PAPER_TABLE1,
     ROTOR_RADIUS,
     TurbineMeshSystem,
-    WORKLOADS,
+    WORKLOAD_REGISTRY,
     list_workloads,
     make_background_only,
     make_turbine_dual,
@@ -40,7 +40,7 @@ __all__ = [
     "ROTOR_RADIUS",
     "RigidRotation",
     "TurbineMeshSystem",
-    "WORKLOADS",
+    "WORKLOAD_REGISTRY",
     "build_block_topology",
     "geometric_stretching",
     "graded_axis",

@@ -113,8 +113,7 @@ def _make_background(
 
 
 #: Name -> builder registry populated by :func:`register_workload`.
-#: (``WORKLOADS`` below aliases it for existing callers.)
-_WORKLOAD_REGISTRY: dict[str, Callable[..., TurbineMeshSystem]] = {}
+WORKLOAD_REGISTRY: dict[str, Callable[..., TurbineMeshSystem]] = {}
 
 
 def register_workload(
@@ -134,14 +133,14 @@ def register_workload(
     def decorate(
         builder: Callable[..., TurbineMeshSystem]
     ) -> Callable[..., TurbineMeshSystem]:
-        if name in _WORKLOAD_REGISTRY:
+        if name in WORKLOAD_REGISTRY:
             raise ValueError(f"workload {name!r} is already registered")
         doc_line = (builder.__doc__ or "").strip().splitlines()
         builder.workload_name = name
         builder.workload_description = description or (
             doc_line[0] if doc_line else ""
         )
-        _WORKLOAD_REGISTRY[name] = builder
+        WORKLOAD_REGISTRY[name] = builder
         return builder
 
     return decorate
@@ -151,7 +150,7 @@ def list_workloads() -> list[tuple[str, str]]:
     """Sorted ``(name, description)`` rows of every registered workload."""
     return [
         (name, getattr(builder, "workload_description", ""))
-        for name, builder in sorted(_WORKLOAD_REGISTRY.items())
+        for name, builder in sorted(WORKLOAD_REGISTRY.items())
     ]
 
 
@@ -255,9 +254,6 @@ def make_turbine_dual() -> TurbineMeshSystem:
     )
 
 
-#: Back-compat alias of the registry (same mutable mapping).
-WORKLOADS = _WORKLOAD_REGISTRY
-
 #: Paper mesh-node counts for Table 1 side-by-side reporting.
 PAPER_TABLE1 = {
     "turbine_low": 23_022_027,
@@ -269,9 +265,9 @@ PAPER_TABLE1 = {
 def make_workload(name: str, **kwargs) -> TurbineMeshSystem:
     """Build one of the named Table 1 workloads."""
     try:
-        builder = WORKLOADS[name]
+        builder = WORKLOAD_REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown workload {name!r}; known: {sorted(WORKLOADS)}"
+            f"unknown workload {name!r}; known: {sorted(WORKLOAD_REGISTRY)}"
         ) from None
     return builder(**kwargs)

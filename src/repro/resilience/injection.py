@@ -48,6 +48,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.serialize import Serializable
+
 #: Supported fault kinds.
 FAULT_KINDS = (
     "exchange_nan",
@@ -69,7 +71,7 @@ WORKER_FAULT_POINTS = ("", "spawn", "lease", "run", "ckpt", "store")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(Serializable):
     """One scheduled fault.
 
     Attributes:
@@ -132,49 +134,6 @@ class FaultSpec:
                 f"unknown worker fault point {self.point!r}; "
                 f"options {WORKER_FAULT_POINTS}"
             )
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict of the spec (strict round-trip form)."""
-        return {
-            "kind": self.kind,
-            "at": self.at,
-            "equation": self.equation,
-            "mode": self.mode,
-            "magnitude": self.magnitude,
-            "entries": self.entries,
-            "point": self.point,
-            "job": self.job,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-        from repro.serialize import (
-            as_float,
-            as_int,
-            as_opt_str,
-            as_str,
-            strict_kwargs,
-        )
-
-        spec = cls(
-            **strict_kwargs(
-                "FaultSpec",
-                data,
-                {
-                    "kind": as_str,
-                    "at": as_int,
-                    "equation": as_opt_str,
-                    "mode": as_str,
-                    "magnitude": as_float,
-                    "entries": as_int,
-                    "point": as_str,
-                    "job": as_str,
-                },
-            )
-        )
-        spec.validate()
-        return spec
 
 
 @dataclass

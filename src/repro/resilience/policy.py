@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.serialize import Serializable
+
 #: Solver-level ladder actions, in default escalation order.
 LADDER_ACTIONS = ("rebuild_precond", "expand_krylov", "fallback_method")
 
@@ -36,7 +38,7 @@ RECOVERY_ACTIONS = LADDER_ACTIONS + ("rollback_restep", "checkpoint_restore")
 
 
 @dataclass
-class RecoveryPolicy:
+class RecoveryPolicy(Serializable):
     """Configurable solver-failure handling (``SimulationConfig.recovery``).
 
     Attributes:
@@ -96,53 +98,6 @@ class RecoveryPolicy:
             raise ValueError("comm_max_retries must be >= 0")
         if self.max_checkpoint_restores < 0:
             raise ValueError("max_checkpoint_restores must be >= 0")
-
-    def to_dict(self) -> dict:
-        """JSON-shaped dict of the policy (strict round-trip form)."""
-        return {
-            "enabled": self.enabled,
-            "guards": self.guards,
-            "recover_non_convergence": self.recover_non_convergence,
-            "ladder": list(self.ladder),
-            "retry_scale": self.retry_scale,
-            "rollback": self.rollback,
-            "dt_backoff": self.dt_backoff,
-            "max_step_retries": self.max_step_retries,
-            "comm_max_retries": self.comm_max_retries,
-            "max_checkpoint_restores": self.max_checkpoint_restores,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoveryPolicy":
-        """Strictly-validated inverse of :meth:`to_dict`."""
-        from repro.serialize import (
-            as_bool,
-            as_float,
-            as_int,
-            as_str_tuple,
-            strict_kwargs,
-        )
-
-        policy = cls(
-            **strict_kwargs(
-                "RecoveryPolicy",
-                data,
-                {
-                    "enabled": as_bool,
-                    "guards": as_bool,
-                    "recover_non_convergence": as_bool,
-                    "ladder": as_str_tuple,
-                    "retry_scale": as_float,
-                    "rollback": as_bool,
-                    "dt_backoff": as_float,
-                    "max_step_retries": as_int,
-                    "comm_max_retries": as_int,
-                    "max_checkpoint_restores": as_int,
-                },
-            )
-        )
-        policy.validate()
-        return policy
 
 
 @dataclass

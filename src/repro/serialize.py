@@ -1,10 +1,21 @@
-"""Strict config (de)serialization helpers and canonical hashing.
+"""Config (de)serialization derived from dataclass fields, and hashing.
 
 Every config dataclass (``SimulationConfig`` and the nested
-``SolverConfig``/``AMGOptions``/``RecoveryPolicy``/``FaultSpec``) exposes
-``to_dict()``/``from_dict()`` built on these helpers.  The contract is
-deliberately strict — this dict is the campaign cache key, so silent
-coercion or silently-dropped keys would alias distinct configurations:
+``SolverConfig``/``AMGOptions``/``RecoveryPolicy``/``FaultSpec``, plus
+the campaign ``JobSpec``) inherits :class:`Serializable`, whose
+``to_dict()``/``from_dict()`` are derived from the class's fields and
+annotations: there is no per-class field list to keep in sync.  Each
+annotation maps to one parser (:data:`_PARSERS`; a nested config
+dataclass or a tuple of them is parsed by its own ``from_dict``), and
+the per-class schema is built once and cached.  ``to_dict`` emits
+tuples as lists and nested configs as dicts; ``from_dict`` calls the
+class's ``validate()`` when it defines one.  A field whose metadata
+carries :data:`RUNTIME_ONLY` (e.g. ``SimulationConfig.clock``) has no
+serialized form: ``to_dict`` raises while it is set.
+
+The contract is deliberately strict — this dict is the campaign cache
+key, so silent coercion or silently-dropped keys would alias distinct
+configurations:
 
 * unknown keys raise ``ValueError`` (no typo ever falls back to a
   default);
@@ -20,11 +31,15 @@ digest identically; any value change changes the digest.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Callable
+import typing
+from typing import Any, Callable, TypeVar
 
 Parser = Callable[[Any, str], Any]
+T = TypeVar("T")
 
 
 def canonical_json(doc: Any) -> str:
@@ -77,10 +92,10 @@ def as_opt_str(value: Any, path: str) -> str | None:
     return as_str(value, path)
 
 
-def as_opt_float(value: Any, path: str) -> float | None:
-    if value is None:
-        return None
-    return as_float(value, path)
+def as_mapping(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise _type_error(path, "mapping", value)
+    return value
 
 
 def as_str_tuple(value: Any, path: str) -> tuple[str, ...]:
@@ -144,3 +159,87 @@ def strict_kwargs(
         key: parsers[key](value, f"{cls_name}.{key}")
         for key, value in data.items()
     }
+
+
+#: Field metadata marking a runtime-only field (no serialized form).
+RUNTIME_ONLY = {"runtime_only": True}
+
+#: Parser of each supported scalar/container field annotation.
+_PARSERS: dict[Any, Parser] = {
+    bool: as_bool,
+    int: as_int,
+    float: as_float,
+    str: as_str,
+    str | None: as_opt_str,
+    tuple[str, ...]: as_str_tuple,
+    tuple[float, float, float]: as_float_triple,
+    dict: as_mapping,
+}
+
+
+def _parser(annotation: Any) -> Parser:
+    if dataclasses.is_dataclass(annotation):
+        return nested(annotation.from_dict)
+    args = typing.get_args(annotation)
+    if (
+        typing.get_origin(annotation) is tuple
+        and len(args) == 2
+        and args[1] is Ellipsis
+        and dataclasses.is_dataclass(args[0])
+    ):
+        return nested_list(args[0].from_dict)
+    if annotation in _PARSERS:
+        return _PARSERS[annotation]
+    raise TypeError(f"no config parser for annotation {annotation!r}")
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[dict[str, Parser], tuple[str, ...]]:
+    """``({field: parser}, runtime-only field names)`` of a config class."""
+    hints = typing.get_type_hints(cls)
+    parsers: dict[str, Parser] = {}
+    runtime: list[str] = []
+    for f in dataclasses.fields(cls):
+        if f.metadata.get("runtime_only"):
+            runtime.append(f.name)
+        else:
+            parsers[f.name] = _parser(hints[f.name])
+    return parsers, tuple(runtime)
+
+
+def _dump(value: Any) -> Any:
+    if isinstance(value, Serializable):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_dump(v) for v in value]
+    return value
+
+
+class Serializable:
+    """Mixin deriving ``to_dict``/``from_dict`` from the dataclass fields."""
+
+    def to_dict(self) -> dict:
+        """JSON-shaped dict of every serializable field (round-trip form)."""
+        cls = type(self)
+        parsers, runtime = _schema(cls)
+        for name in runtime:
+            if getattr(self, name) is not None:
+                raise ValueError(
+                    f"{cls.__name__}.{name} is runtime-only and cannot be "
+                    "serialized; clear it before to_dict()"
+                )
+        return {name: _dump(getattr(self, name)) for name in parsers}
+
+    @classmethod
+    def from_dict(cls: type[T], data: dict) -> T:
+        """Strictly-validated inverse of :meth:`to_dict`.
+
+        Unknown keys and type mismatches raise ``ValueError``; absent
+        keys take the dataclass defaults.  The result is ``validate()``-d
+        when the class defines a ``validate`` method.
+        """
+        obj = cls(**strict_kwargs(cls.__name__, data, _schema(cls)[0]))
+        validate = getattr(obj, "validate", None)
+        if validate is not None:
+            validate()
+        return obj

@@ -4,7 +4,6 @@ import importlib.util
 import json
 import os
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -390,38 +389,10 @@ class TestRunTelemetry:
 
 
 class TestRecordHistoryFlag:
-    def test_gmres_history_disabled(self, tiny_run):
-        sim, _report = tiny_run
-        from repro.krylov.gmres import GMRES
-        from repro.linalg.parvector import ParVector
-
-        A = sim.pressure._matrix
-        b = A.matvec(
-            ParVector(sim.world, A.row_offsets, np.ones(A.shape[0]))
-        )
-        res_on = GMRES(A, tol=1e-8, max_iters=20).solve(b)
-        res_off = GMRES(
-            A, tol=1e-8, max_iters=20, record_history=False
-        ).solve(b)
-        assert len(res_on.residual_history) >= res_on.iterations
-        assert res_off.residual_history == []
-        assert res_off.iterations == res_on.iterations
-        assert res_off.residual_norm == pytest.approx(res_on.residual_norm)
-
     def test_solve_records_carry_history(self, tiny_run):
         sim, _report = tiny_run
         rec = sim.pressure.solve_records[0]
         assert len(rec.residual_history) >= rec.iterations
-
-    def test_config_flag_disables_record_history(self):
-        cfg = SimulationConfig(nranks=2)
-        cfg.momentum_solver.record_history = False
-        cfg.pressure_solver.record_history = False
-        cfg.scalar_solver.record_history = False
-        sim = NaluWindSimulation("turbine_tiny", cfg)
-        sim.step()
-        for eq in sim.systems:
-            assert all(r.residual_history == [] for r in eq.solve_records)
 
 
 class TestTraceCLI:
