@@ -37,6 +37,7 @@ from repro.comm.errors import (
 from repro.comm.traffic import TrafficLog
 from repro.obs.hooks import ObserverHub
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 
 def _nbytes(payload: Any) -> int:
@@ -121,6 +122,11 @@ class SimWorld:
         # publishes into a single telemetry stream.
         self.hub = ObserverHub()
         self.metrics = MetricsRegistry()
+        # Real (host wall-clock) time: every phase_scope opens a span here,
+        # and its duration is summed per label into _phase_seconds.
+        self.tracer = Tracer()
+        self._phase_seconds: dict[str, float] = {}
+        self._phase_counts: dict[str, int] = {}
         # Resilience: optional seeded FaultInjector (see
         # repro.resilience.injection); when set, world-level exchanges give
         # it the chance to corrupt payloads deterministically.
@@ -160,7 +166,13 @@ class SimWorld:
 
     @contextmanager
     def phase_scope(self, label: str) -> Iterator[None]:
-        """Attribute all traffic inside the ``with`` block to ``label``.
+        """Run the ``with`` block as phase ``label``.
+
+        The one phase boundary: traffic and ops inside the block are
+        attributed to ``label``, the profiler sees the phase begin and
+        end, and a ``label`` span on :attr:`tracer` measures its real
+        time, which is added to the per-label totals of
+        :meth:`phase_totals` — also when the block raises.
 
         Pushes and pops are checked: exiting verifies the popped label is
         the one this scope pushed, so stack corruption (e.g. an observer
@@ -168,12 +180,32 @@ class SimWorld:
         misattributing all subsequent traffic.
         """
         self._phase_stack.append(label)
-        if self.profiler is not None:
-            self.profiler.on_phase_begin(label)
         try:
-            yield
+            if self.profiler is not None:
+                self.profiler.on_phase_begin(label)
+            try:
+                with self.tracer.span(label) as span:
+                    yield
+            finally:
+                self._phase_seconds[label] = (
+                    self._phase_seconds.get(label, 0.0) + span.duration
+                )
+                self._phase_counts[label] = (
+                    self._phase_counts.get(label, 0) + 1
+                )
         finally:
             self._pop_phase(label)
+
+    def phase_totals(self) -> dict[str, dict[str, float]]:
+        """Real seconds and scope count per phase label.
+
+        ``{label: {"total_s": seconds, "count": n}}``, labels in order of
+        their first completed scope.
+        """
+        return {
+            label: {"total_s": t, "count": self._phase_counts[label]}
+            for label, t in self._phase_seconds.items()
+        }
 
     def assert_phase_balanced(self) -> None:
         """Raise if any :meth:`phase_scope` is still open.

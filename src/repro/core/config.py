@@ -113,10 +113,11 @@ class SimulationConfig(Serializable):
     # Observability (docs/observability.md).  ``profile`` attaches a
     # per-rank TimelineProfiler to the world, pricing simulated rank
     # clocks on ``profile_machine``'s rates; the run report then carries
-    # a ``repro.profile/1`` document.  ``clock`` overrides the Tracer's
-    # wall-clock source (tests inject a deterministic fake clock so span
-    # durations are assertable); None keeps ``time.perf_counter``.  It
-    # is runtime-only: ``to_dict`` raises while it is set.
+    # a ``repro.profile/1`` document.  ``clock`` overrides the clock of
+    # the world's tracer, which times every phase (tests inject a
+    # deterministic fake clock so span durations are assertable); None
+    # keeps ``time.perf_counter``.  It is runtime-only: ``to_dict``
+    # raises while it is set.
     profile: bool = False
     profile_machine: str = "summit-gpu"
     clock: Callable[[], float] | None = field(

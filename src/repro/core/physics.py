@@ -178,6 +178,32 @@ class MomentumSystem(EquationSystem):
         bc = self.boundary_velocity(velocity)[:, component]
         self.constraint_values_to_rhs(asmblr, bc)
 
+    def assemble_rhs(
+        self,
+        component: int,
+        velocity: np.ndarray,
+        velocity_old: np.ndarray,
+        pressure: np.ndarray,
+    ) -> ParVector:
+        """Stages 2 + 3 for the RHS of one more velocity component.
+
+        Reuses the operator of the last :meth:`assemble`: only the RHS
+        buffers are refilled, and Algorithm 2 runs on the active plan.
+        """
+        asmblr = self.assembler
+        with self.world.phase_scope(self.phase("local_assembly")):
+            asmblr.reset_rhs()
+            self.fill_rhs(asmblr, component, velocity, velocity_old, pressure)
+            local = asmblr.finalize()
+        with self.world.phase_scope(self.phase("global_assembly")):
+            return assemble_global_vector(
+                self.world,
+                self.comp.numbering,
+                local,
+                variant=self.config.assembly_variant,
+                plan=self._active_plan(),
+            )
+
 
 class PressurePoissonSystem(EquationSystem):
     """The continuity projection: ``-div(dt grad p') = -div(mdot*)``.

@@ -33,8 +33,6 @@ from repro.core.physics import (
     PressurePoissonSystem,
     ScalarTransportSystem,
 )
-from repro.core.timers import PhaseTimers
-from repro.assembly.global_assembly import assemble_global_vector
 from repro.mesh.turbine import TurbineMeshSystem, make_workload
 from repro.obs.telemetry import (
     AMGSetupStats,
@@ -125,14 +123,10 @@ class NaluWindSimulation:
                 pricer=CostModel(machine),
                 ops=self.world.ops,
             )
-        # One tracer backs the phase timers, so flat per-phase totals and
-        # the nested span timeline come from the same measurements.
-        self.tracer = (
-            Tracer(clock=self.config.clock)
-            if self.config.clock is not None
-            else Tracer()
-        )
-        self.timers = PhaseTimers(tracer=self.tracer)
+        # An injected clock (deterministic tests) replaces the real one
+        # behind every phase and step span.
+        if self.config.clock is not None:
+            self.world.tracer = Tracer(clock=self.config.clock)
         # AMG setup stats arrive through the world's observer hub (the
         # hierarchy is built deep inside the pressure preconditioner).
         self.amg_setups: list[AMGSetupStats] = []
@@ -154,11 +148,9 @@ class NaluWindSimulation:
         self.comp = CompositeMesh(
             self.world, self.system, self.config.partition_method
         )
-        self.momentum = MomentumSystem(self.comp, self.config, self.timers)
-        self.pressure = PressurePoissonSystem(
-            self.comp, self.config, self.timers
-        )
-        self.scalar = ScalarTransportSystem(self.comp, self.config, self.timers)
+        self.momentum = MomentumSystem(self.comp, self.config)
+        self.pressure = PressurePoissonSystem(self.comp, self.config)
+        self.scalar = ScalarTransportSystem(self.comp, self.config)
         self.systems = (self.momentum, self.pressure, self.scalar)
         self.initialize_fields()
         self.step_snapshots: list[dict[str, PhaseAggregate]] = []
@@ -436,7 +428,7 @@ class NaluWindSimulation:
     def write_checkpoint(self) -> str:
         """Durably checkpoint the current state; returns the file path."""
         mgr = self._checkpoint_manager()
-        with self.tracer.span("checkpoint", step=self.step_index):
+        with self.world.tracer.span("checkpoint", step=self.step_index):
             # Count the write *before* capturing telemetry state: the
             # restored counter then equals the uninterrupted run's value
             # at the same step (counter parity is part of the bitwise-
@@ -449,7 +441,7 @@ class NaluWindSimulation:
 
     def _load_restart(self, source: str) -> None:
         """Cold-start restore from a checkpoint file or directory."""
-        with self.tracer.span("restart", source=source):
+        with self.world.tracer.span("restart", source=source):
             if os.path.isdir(source):
                 mgr = CheckpointManager(
                     source,
@@ -556,7 +548,9 @@ class NaluWindSimulation:
         res = self.momentum.solve(A_m, rhs_u)
         u_star[:, 0] = self._new_to_app(res.x.data)
         for c in (1, 2):
-            rhs_c = self._momentum_rhs_only(c)
+            rhs_c = self.momentum.assemble_rhs(
+                c, self.velocity, self.velocity_old, self.pressure_field
+            )
             res = self.momentum.solve(A_m, rhs_c)
             u_star[:, c] = self._new_to_app(res.x.data)
         # SIMPLE-style velocity under-relaxation on free rows: damps the
@@ -631,31 +625,6 @@ class NaluWindSimulation:
         res_s = self.scalar.solve(A_s, rhs_s)
         self.scalar_field = self._new_to_app(res_s.x.data)
 
-    def _momentum_rhs_only(self, component: int):
-        """Reassemble only the momentum RHS for another component."""
-        m = self.momentum
-        with self.timers.measure(m.phase("local_assembly")):
-            with self.world.phase_scope(m.phase("local_assembly")):
-                m.assembler.reset_rhs()
-                m.fill_rhs(
-                    m.assembler,
-                    component,
-                    self.velocity,
-                    self.velocity_old,
-                    self.pressure_field,
-                )
-                local = m.assembler.finalize()
-        with self.timers.measure(m.phase("global_assembly")):
-            with self.world.phase_scope(m.phase("global_assembly")):
-                rhs = assemble_global_vector(
-                    self.world,
-                    self.comp.numbering,
-                    local,
-                    variant=self.config.assembly_variant,
-                    plan=m._active_plan(),
-                )
-        return rhs
-
     # -- time stepping ----------------------------------------------------------------
 
     def step(self) -> None:
@@ -677,7 +646,7 @@ class NaluWindSimulation:
         try:
             while True:
                 try:
-                    with self.tracer.span(
+                    with self.world.tracer.span(
                         "step", index=len(self.step_snapshots)
                     ):
                         self._step_body()
@@ -702,16 +671,15 @@ class NaluWindSimulation:
         cfg = self.config
         if self.world.profiler is not None:
             self.world.profiler.on_marker("step", index=self.step_index)
-        with self.timers.measure("motion"):
-            with self.world.phase_scope("motion"):
-                self.system.advance_rotor(cfg.dt)
-                self.comp.update_connectivity()
+        with self.world.phase_scope("motion"):
+            self.system.advance_rotor(cfg.dt)
+            self.comp.update_connectivity()
         for eq in self.systems:
             eq.update_graph()
         for k in range(cfg.picard_iterations):
             if self.world.profiler is not None:
                 self.world.profiler.on_marker("picard", index=k)
-            with self.tracer.span("picard", index=k):
+            with self.world.tracer.span("picard", index=k):
                 self.picard_iteration()
         self._guard_fields()
         # Mass-conservation diagnostic on free pressure rows (interior
@@ -778,7 +746,10 @@ class NaluWindSimulation:
                 for eq in self.systems
             },
             peak_alloc_bytes=self.world.ops.peak_alloc(),
-            wall_times=self.timers.snapshot(),
+            wall_times={
+                label: t["total_s"]
+                for label, t in self.world.phase_totals().items()
+            },
             divergence_norms=list(self.divergence_norms),
             recovery=self._recovery_summary(),
         )

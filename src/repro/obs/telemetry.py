@@ -9,9 +9,9 @@ figures consume, in one artifact.
 
 :func:`collect_run_telemetry` builds the document from a finished
 :class:`~repro.core.simulation.NaluWindSimulation` by *pulling* from the
-existing instrumentation objects (tracer, timers, traffic log, op
-recorder, solve records, AMG setup stats); it is duck-typed so this
-module keeps zero imports from the rest of ``repro``.
+existing instrumentation objects (the world's tracer and phase totals,
+traffic log, op recorder, solve records, AMG setup stats); it is
+duck-typed so this module keeps zero imports from the rest of ``repro``.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
     """
     world = sim.world
     cfg = sim.config
-    timers = sim.timers
 
     world.traffic.publish_metrics(world.metrics)
     world.ops.publish_metrics(world.metrics)
@@ -231,7 +230,6 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
         summarize = getattr(sim, "_recovery_summary", None)
         resilience = dict(summarize()) if summarize is not None else {}
 
-    snap = timers.snapshot(counts=True)
     n_steps = (
         report.n_steps if report is not None else len(sim.step_snapshots)
     )
@@ -252,8 +250,8 @@ def collect_run_telemetry(sim: Any, report: Any = None) -> RunTelemetry:
             "picard_iterations": cfg.picard_iterations,
             "dt": cfg.dt,
         },
-        spans=sim.tracer.to_dicts(),
-        phases=snap,
+        spans=world.tracer.to_dicts(),
+        phases=world.phase_totals(),
         solves=_solves_section(sim.systems),
         traffic=_traffic_section(world.traffic, world.size),
         ops={

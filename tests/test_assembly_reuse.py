@@ -21,7 +21,7 @@ from repro.assembly import (
     assemble_global_vector,
 )
 from repro.comm import SimWorld
-from repro.core import CompositeMesh, PhaseTimers, SimulationConfig
+from repro.core import CompositeMesh, SimulationConfig
 from repro.krylov import (
     CG,
     GMRES,
@@ -198,7 +198,7 @@ class TestGraphRevision:
         comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
         from repro.core.physics import ScalarTransportSystem
 
-        scal = ScalarTransportSystem(comp, cfg, PhaseTimers())
+        scal = ScalarTransportSystem(comp, cfg)
         E = comp.edges.shape[0]
         kwargs = dict(
             mdot=np.ones(E),
@@ -316,7 +316,7 @@ class TestAMGRefresh:
         comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
         from repro.core.physics import PressurePoissonSystem
 
-        pres = PressurePoissonSystem(comp, cfg, PhaseTimers())
+        pres = PressurePoissonSystem(comp, cfg)
         E = comp.edges.shape[0]
         kwargs = dict(
             mdot=np.zeros(E),

@@ -55,10 +55,11 @@ class TestBoundaryFaceVectors:
 
 class TestMomentumMultiRHS:
     def test_component_rhs_matches_full_assembly(self):
-        """The RHS-only path (reset_rhs + fill_rhs + Algorithm 2) must give
-        the same vector as a full re-assembly for that component."""
+        """The RHS-only path the Picard loop runs for components 1 and 2
+        (MomentumSystem.assemble_rhs: RHS refill + Algorithm 2 on the
+        active plan) must give the same vector as a full re-assembly for
+        that component."""
         from repro import NaluWindSimulation, SimulationConfig
-        from repro.assembly.global_assembly import assemble_global_vector
         from repro.core.operators import boundary_mass_flux, mass_flux
 
         cfg = SimulationConfig(nranks=3)
@@ -81,14 +82,7 @@ class TestMomentumMultiRHS:
         )
         # RHS-only path for the same component (matrix values from the
         # assemble above are reused; only the RHS buffers reset).
-        m = sim.momentum
-        m.assembler.reset_rhs()
-        m.fill_rhs(
-            m.assembler, 1, sim.velocity, sim.velocity_old,
-            sim.pressure_field,
-        )
-        local = m.assembler.finalize()
-        rhs_only = assemble_global_vector(
-            sim.world, comp.numbering, local, cfg.assembly_variant
+        rhs_only = sim.momentum.assemble_rhs(
+            1, sim.velocity, sim.velocity_old, sim.pressure_field
         )
         assert np.allclose(rhs_only.data, rhs_full.data, atol=1e-12)

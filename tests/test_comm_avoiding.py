@@ -18,7 +18,7 @@ import pytest
 from scipy import sparse
 
 from repro.comm import SimWorld
-from repro.core import CompositeMesh, PhaseTimers, SimulationConfig
+from repro.core import CompositeMesh, SimulationConfig
 from repro.core.config import SolverConfig
 from repro.core.operators import boundary_mass_flux, mass_flux
 from repro.core.physics import PressurePoissonSystem
@@ -56,7 +56,7 @@ def pressure_system():
     cfg = SimulationConfig(nranks=3)
     w = SimWorld(cfg.nranks)
     comp = CompositeMesh(w, make_turbine_tiny(), cfg.partition_method)
-    pres = PressurePoissonSystem(comp, cfg, PhaseTimers())
+    pres = PressurePoissonSystem(comp, cfg)
     u = np.tile([8.0, 0, 0], (comp.n, 1))
     mdot = mass_flux(comp, u, cfg.density)
     bflux = boundary_mass_flux(comp, u, cfg.density)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.comm import SimWorld
-from repro.core import NaluWindSimulation, PhaseTimers, SimulationConfig
+from repro.core import NaluWindSimulation, SimulationConfig
 from repro.obs import (
     MetricsRegistry,
     ObserverHub,
@@ -115,59 +115,6 @@ class TestTracer:
         assert tr.roots[0].duration > 0.0
 
 
-class TestPhaseTimers:
-    def test_snapshot_totals_default_shape(self):
-        t = PhaseTimers()
-        with t.measure("a"):
-            pass
-        snap = t.snapshot()
-        assert isinstance(snap["a"], float)
-
-    def test_snapshot_with_counts(self):
-        t = PhaseTimers()
-        for _ in range(3):
-            with t.measure("a"):
-                pass
-        snap = t.snapshot(counts=True)
-        assert snap["a"]["count"] == 3
-        assert snap["a"]["total_s"] == pytest.approx(t.total("a"))
-
-    def test_merge_combines_totals_and_counts(self):
-        t1, t2 = PhaseTimers(), PhaseTimers()
-        with t1.measure("a"):
-            pass
-        with t2.measure("a"):
-            pass
-        with t2.measure("b"):
-            pass
-        out = t1.merge(t2)
-        assert out is t1
-        assert t1.count("a") == 2
-        assert t1.count("b") == 1
-        assert t1.total("a") >= t2.total("a")
-
-    def test_tracer_backed_measure_creates_spans(self):
-        tr = Tracer(clock=FakeClock())
-        t = PhaseTimers(tracer=tr)
-        with tr.span("step"):
-            with t.measure("eq/solve"):
-                pass
-        # Span nested under "step", totals identical to the span duration.
-        spans = tr.find("eq/solve")
-        assert len(spans) == 1
-        assert tr.roots[0].children[0] is spans[0]
-        assert t.total("eq/solve") == pytest.approx(spans[0].duration)
-        assert t.count("eq/solve") == 1
-
-    def test_tracer_backed_measure_survives_exception(self):
-        t = PhaseTimers(tracer=Tracer(clock=FakeClock()))
-        with pytest.raises(RuntimeError):
-            with t.measure("x"):
-                raise RuntimeError("boom")
-        assert t.count("x") == 1
-        assert t.total("x") > 0.0
-
-
 class TestPhaseScope:
     def test_balanced_scopes_ok(self):
         w = SimWorld(2)
@@ -190,6 +137,34 @@ class TestPhaseScope:
         w._phase_stack.append("stray")
         with pytest.raises(RuntimeError, match="unbalanced"):
             cm.__exit__(None, None, None)
+
+    def test_span_nests_under_open_span(self):
+        w = SimWorld(2)
+        w.tracer = tr = Tracer(clock=FakeClock())
+        with tr.span("step"):
+            with w.phase_scope("eq/solve"):
+                pass
+        # Span nested under "step"; the per-label total is its duration.
+        spans = tr.find("eq/solve")
+        assert len(spans) == 1
+        assert tr.roots[0].children[0] is spans[0]
+        assert w.phase_totals() == {
+            "eq/solve": {"total_s": spans[0].duration, "count": 1}
+        }
+
+    def test_exception_closes_span_counts_and_pops(self):
+        w = SimWorld(2)
+        w.tracer = Tracer(clock=FakeClock())
+        with pytest.raises(RuntimeError, match="boom"):
+            with w.phase_scope("x"):
+                raise RuntimeError("boom")
+        assert w.phase == "default"
+        assert w.tracer.depth == 0
+        (span,) = w.tracer.find("x")
+        assert span.duration > 0.0
+        assert w.phase_totals() == {
+            "x": {"total_s": span.duration, "count": 1}
+        }
 
 
 class TestMetrics:
@@ -298,15 +273,23 @@ class TestRunTelemetry:
         with pytest.raises(ValueError, match="schema"):
             RunTelemetry.from_dict({"schema": "bogus/9"})
 
-    def test_phase_totals_match_phase_timers(self, tiny_run):
-        sim, report = tiny_run
-        t = report.telemetry
-        snap = sim.timers.snapshot(counts=True)
-        assert set(t.phases) == set(snap)
-        for name, st in snap.items():
-            assert t.phases[name]["total_s"] == pytest.approx(st["total_s"])
-            assert t.phases[name]["count"] == st["count"]
-        assert t.phase_total("pressure/solve") > 0.0
+    def test_phase_totals_match_world_and_spans(self):
+        """Under a fake clock, telemetry phases, the world's per-phase
+        totals, the report's wall times and the per-label sums of the
+        tracer's span durations are one measurement, exactly."""
+        cfg = SimulationConfig(nranks=2, clock=FakeClock())
+        sim = NaluWindSimulation("turbine_tiny", cfg)
+        report = sim.run(1)
+        phases = report.telemetry.phases
+        assert phases == sim.world.phase_totals()
+        totals, counts = sim.world.tracer.totals(), sim.world.tracer.counts()
+        for name, st in phases.items():
+            assert st["total_s"] == totals[name]
+            assert st["count"] == counts[name]
+        assert report.wall_times == {
+            name: st["total_s"] for name, st in phases.items()
+        }
+        assert phases["pressure/solve"]["total_s"] > 0.0
 
     def test_traffic_matches_traffic_log(self, tiny_run):
         sim, report = tiny_run
